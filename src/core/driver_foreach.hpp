@@ -1,18 +1,19 @@
 // core/driver_foreach.hpp
 //
 // The naive AMT port the paper's related work discusses (Wei's lulesh-hpx):
-// every reference parallel loop becomes an hpx::for_each-style parallel
-// loop on the task runtime — a wave of chunk tasks followed by a blocking
-// barrier, per loop.  It demonstrates why 1:1 loop replacement loses to
-// OpenMP (more task-creation overhead than static work sharing, same number
-// of barriers) and serves as the ablation baseline for the paper's task-
-// chaining tricks.
+// the fork-join skeleton (lulesh/fork_join.hpp) on the task runtime, every
+// reference parallel loop an hpx::for_each-style wave of chunk tasks
+// followed by a blocking barrier.  It demonstrates why 1:1 loop replacement
+// loses to OpenMP (more task-creation overhead than static work sharing,
+// same number of barriers) and serves as the ablation baseline for the
+// paper's task-chaining tricks.
 
 #pragma once
 
+#include <vector>
+
 #include "amt/amt.hpp"
 #include "lulesh/driver.hpp"
-#include "lulesh/kernels.hpp"
 
 namespace lulesh {
 
@@ -25,21 +26,8 @@ public:
     void advance(domain& d) override;
 
 private:
-    /// One parallel loop with an implicit barrier (the for_each pattern).
-    template <class F>
-    void pf(index_t n, F&& body);
-
     amt::runtime& rt_;
-
-    /// Trace label for the tasks of subsequent pf() loops; advance() points
-    /// it at the current algorithm section (static storage, like the wave
-    /// sites).
-    const char* trace_site_ = "foreach";
-
-    std::vector<real_t> sigxx_, sigyy_, sigzz_;
-    std::vector<real_t> dvdx_, dvdy_, dvdz_, x8n_, y8n_, z8n_;
-    std::vector<real_t> determ_;
-    kernels::eos_scratch eos_;
+    fork_join_scratch scratch_;
     std::vector<kernels::dt_constraints> partials_;
 };
 

@@ -145,6 +145,8 @@ bool dist_driver::resend_from_cache(cluster& c, index_t b, halo_stream which,
         static_cast<std::uint64_t>(b) * num_halo_streams +
         static_cast<std::uint64_t>(which) + 1;
     plane_buffer copy;
+    std::uint64_t prev_sent = 0;
+    std::uint64_t claimed = 0;
     {
         std::lock_guard lk(tx.mu);
         if (tx.packed_seq == 0) return false;  // nothing ever cached
@@ -159,6 +161,12 @@ bool dist_driver::resend_from_cache(cluster& c, index_t b, halo_stream which,
         ++tx.attempts;
         tx.last_attempt = std::chrono::steady_clock::now();
         copy = tx.payload;
+        // Claim the sequence before delivering: whoever claims it is the
+        // only one that delivers it, so an original send still in transit
+        // (send_halo) sees it delivered and drops its copy.
+        prev_sent = tx.sent_seq;
+        claimed = tx.packed_seq;
+        tx.sent_seq = claimed;
     }
     // The resend crosses the same faulty transit as the original: unbounded
     // injection plans keep hitting it, which is how the retry budget is
@@ -166,6 +174,14 @@ bool dist_driver::resend_from_cache(cluster& c, index_t b, halo_stream which,
     const halo_labels& lab = labels_[static_cast<std::size_t>(b)];
     const int wi = static_cast<int>(which);
     if (amt::fault::decide(lab.drop[wi].c_str())) {
+        {
+            // Lost again: release the claim so a later backoff round
+            // retries, unless a newer message has been cached meanwhile.
+            std::lock_guard lk(tx.mu);
+            if (tx.sent_seq == claimed && tx.packed_seq == claimed) {
+                tx.sent_seq = prev_sent;
+            }
+        }
         amt::resilience().halo_drops.add(1);
         amt::trace::mark("halo:drop", static_cast<std::int32_t>(b));
         return false;
@@ -177,10 +193,6 @@ bool dist_driver::resend_from_cache(cluster& c, index_t b, halo_stream which,
         stream_channel(bc, which).set(std::move(copy));
     } catch (const amt::channel_closed&) {
         return false;  // fabric already failed; the cascade handles it
-    }
-    {
-        std::lock_guard lk(tx.mu);
-        tx.sent_seq = tx.packed_seq;
     }
     amt::resilience().halo_resends.add(1);
     amt::trace::mark("halo:resend", static_cast<std::int32_t>(b));

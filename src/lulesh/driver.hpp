@@ -3,27 +3,34 @@
 // A driver advances the Lagrange leapfrog by one iteration.  All drivers
 // execute the same kernels (see kernels.hpp) and therefore produce bitwise
 // identical fields; they differ only in how the per-iteration work is
-// decomposed and synchronized:
+// decomposed and synchronized.  Four of them are executors of one fork-join
+// skeleton (lulesh/fork_join.hpp) that runs the reference's loop sequence;
+// the executor only picks the chunking, the barrier, the boundary-condition
+// region and the min-reduction:
 //
-//   serial_driver        — every kernel over its full range, in order.
-//   parallel_for_driver  — ompsim team, one statically-scheduled parallel
-//                          loop + barrier per reference loop (the OpenMP
-//                          reference baseline).
-//   foreach_driver       — (src/core) amt runtime, hpx::for_each-style
-//                          parallel loops with a barrier per loop; the naive
-//                          HPX port the paper's related work shows to be
-//                          slower than OpenMP.
-//   taskgraph_driver     — (src/core) the paper's contribution: a
-//                          pre-created task graph per iteration with
-//                          continuation chains and few barriers.
+//   serial_driver        — every loop over its full range, in order.
+//   parallel_for_driver  — ompsim team (the OpenMP reference baseline):
+//                          one static contiguous chunk per thread, team
+//                          barrier per loop, the three BC loops in one
+//                          region, reduce_min across the team.
+//   openmp_driver        — the same with real `#pragma omp parallel`
+//                          regions and reduction(min:) (optional build).
+//   foreach_driver       — (src/core) amt runtime, hpx::for_each-style: each
+//                          loop a wave of n/(workers*8)-element tasks and a
+//                          blocking wait, three BC waves, per-chunk partial
+//                          minima; the naive HPX port the paper's related
+//                          work shows to be slower than OpenMP.
+//
+// taskgraph_driver (src/core) is the paper's contribution: a pre-created
+// task graph per iteration with continuation chains and few barriers.
 
 #pragma once
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "lulesh/domain.hpp"
+#include "lulesh/fork_join.hpp"
 #include "lulesh/options.hpp"
 #include "lulesh/types.hpp"
 
@@ -31,18 +38,6 @@ namespace lulesh {
 
 class dirty_tracker;   // lulesh/checkpoint_chain.hpp
 class state_capture;   // lulesh/checkpoint_chain.hpp
-
-/// Thrown when the simulation hits one of the reference's abort conditions.
-class simulation_error : public std::runtime_error {
-public:
-    simulation_error(status code, const std::string& what)
-        : std::runtime_error(what), code_(code) {}
-
-    [[nodiscard]] status code() const noexcept { return code_; }
-
-private:
-    status code_;
-};
 
 class driver {
 public:
@@ -80,10 +75,7 @@ public:
     void advance(domain& d) override;
 
 private:
-    // Persistent scratch mirroring the reference's per-call allocations.
-    std::vector<real_t> sigxx_, sigyy_, sigzz_;
-    std::vector<real_t> dvdx_, dvdy_, dvdz_, x8n_, y8n_, z8n_;
-    std::vector<real_t> determ_;
+    fork_join_scratch scratch_;
 };
 
 /// Runs `drv` on `d` until stoptime or `max_cycles`, whichever comes first.

@@ -1,15 +1,14 @@
 // lulesh/driver_parallel_for.hpp
 //
-// The OpenMP-reference baseline: every reference parallel loop becomes one
-// statically-scheduled ompsim loop with an implicit barrier — ~30 distinct
-// loops per leapfrog iteration, plus ~20 loops per region per EOS
-// repetition, exactly the synchronization structure whose overhead the
-// paper's task-based approach removes.
+// The OpenMP-reference baseline on the ompsim team: the fork-join skeleton
+// (lulesh/fork_join.hpp) with every reference loop one statically-scheduled
+// loop and an implicit barrier — ~30 distinct loops per leapfrog iteration,
+// plus ~20 loops per region per EOS repetition, exactly the synchronization
+// structure whose overhead the paper's task-based approach removes.
 
 #pragma once
 
 #include "lulesh/driver.hpp"
-#include "lulesh/kernels.hpp"
 #include "ompsim/ompsim.hpp"
 
 namespace lulesh {
@@ -23,16 +22,9 @@ public:
     [[nodiscard]] std::string name() const override { return "parallel_for"; }
     void advance(domain& d) override;
 
-    [[nodiscard]] ompsim::team& team() noexcept { return team_; }
-
 private:
     ompsim::team& team_;
-
-    // Persistent global scratch mirroring the reference's temporaries.
-    std::vector<real_t> sigxx_, sigyy_, sigzz_;
-    std::vector<real_t> dvdx_, dvdy_, dvdz_, x8n_, y8n_, z8n_;
-    std::vector<real_t> determ_;
-    kernels::eos_scratch eos_;
+    fork_join_scratch scratch_;
 };
 
 }  // namespace lulesh

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace lulesh {
 
@@ -106,5 +108,17 @@ constexpr int exit_code_for(status s) {
     }
     return 1;
 }
+
+/// Thrown when the simulation hits one of the reference's abort conditions.
+class simulation_error : public std::runtime_error {
+public:
+    simulation_error(status code, const std::string& what)
+        : std::runtime_error(what), code_(code) {}
+
+    [[nodiscard]] status code() const noexcept { return code_; }
+
+private:
+    status code_;
+};
 
 }  // namespace lulesh

@@ -170,6 +170,79 @@ TEST(DistRetry, DroppedHaloMessageIsResentFromTheCache) {
     EXPECT_GE(amt::resilience().halo_resends.load(), 1u);
 }
 
+TEST(DistRetry, SlowSendRacingAResendDeliversTheMessageOnce) {
+    fault_guard guard;
+    const options o = opts(8);
+    const int iters = 100;
+    domain global(o);
+    {
+        lulesh::serial_driver drv;
+        lulesh::run_simulation(global, drv, iters);
+    }
+
+    // Stall the transit of one message of cycle 60 twice: the original send
+    // sleeps after parking its payload in the retransmit cache, the poll
+    // loop's resend (its 1 ms backoff long expired) picks the undelivered
+    // copy up and sleeps in the same transit.  Exactly one of the two may
+    // deliver; a second copy would sit in the channel and be unpacked one
+    // iteration late.
+    amt::fault::plan p;
+    p.kind = amt::fault::action::delay;
+    p.site = "halo_drop:delv_up:0";
+    p.epoch = 60;
+    p.max_injections = 2;
+    p.delay = std::chrono::milliseconds(30);
+    amt::fault::arm(p);
+
+    cluster c(o, 2);
+    amt::runtime rt(2);
+    dist_driver drv(rt, {64, 64}, dist_driver::exchange_mode::futurized,
+                    std::chrono::milliseconds(0), retry_policy{});
+    const auto result = lulesh::dist::run_simulation(c, drv, iters);
+    amt::fault::disarm();
+
+    EXPECT_EQ(amt::fault::snapshot().injections, 2u);
+    EXPECT_EQ(result.run_status, lulesh::status::ok);
+    EXPECT_EQ(result.cycles, iters);
+    EXPECT_EQ(cluster_vs_global(c, global), 0.0)
+        << "a duplicate halo delivery shifted the exchange by an iteration";
+    EXPECT_EQ(amt::resilience().halo_drops.load(), 0u);
+    EXPECT_GE(amt::resilience().halo_resends.load(), 1u);
+}
+
+TEST(DistRetry, DroppedResendIsRetriedOnTheNextBackoff) {
+    fault_guard guard;
+    const options o = opts(8);
+    const int iters = 20;
+    domain global(o);
+    {
+        lulesh::serial_driver drv;
+        lulesh::run_simulation(global, drv, iters);
+    }
+
+    // The original send and the first resend are both lost; the resend
+    // must give its claim on the message back so the next backoff round
+    // delivers it.
+    amt::fault::plan p;
+    p.site = "halo_drop:delv_up:0";
+    p.epoch = 4;
+    p.max_injections = 2;
+    amt::fault::arm(p);
+
+    cluster c(o, 2);
+    amt::runtime rt(2);
+    dist_driver drv(rt, {64, 64}, dist_driver::exchange_mode::futurized,
+                    std::chrono::milliseconds(0), retry_policy{});
+    const auto result = lulesh::dist::run_simulation(c, drv, iters);
+    amt::fault::disarm();
+
+    EXPECT_EQ(result.run_status, lulesh::status::ok);
+    EXPECT_EQ(result.cycles, iters);
+    EXPECT_EQ(cluster_vs_global(c, global), 0.0);
+    EXPECT_EQ(amt::resilience().halo_drops.load(), 2u);
+    EXPECT_GE(amt::resilience().halo_resends.load(), 1u);
+}
+
 TEST(DistRetry, PersistentCorruptionExhaustsRetriesAndKeepsExitCode) {
     fault_guard guard;
     // Unbounded corruption of one stream: the retry budget (3 attempts) is
