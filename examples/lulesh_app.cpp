@@ -22,6 +22,9 @@
 #include "lulesh/checkpoint.hpp"
 #include "lulesh/driver.hpp"
 #include "lulesh/driver_parallel_for.hpp"
+#ifdef LULESH_AMT_HAVE_OPENMP
+#include "lulesh/driver_openmp.hpp"
+#endif
 #include "lulesh/resilient_run.hpp"
 #include "lulesh/validate.hpp"
 #include "ompsim/ompsim.hpp"
@@ -230,6 +233,11 @@ int main(int argc, char** argv) {
         ompsim::team team(threads);
         lulesh::parallel_for_driver drv(team);
         result = run_with(dom, drv, cli);
+#ifdef LULESH_AMT_HAVE_OPENMP
+    } else if (cli.driver == "openmp") {
+        lulesh::openmp_driver drv(threads);
+        result = run_with(dom, drv, cli);
+#endif
     } else if (cli.driver == "foreach") {
         amt::runtime rt(threads);
         lulesh::foreach_driver drv(rt);

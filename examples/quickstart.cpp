@@ -3,7 +3,8 @@
 // Minimal end-to-end use of the library: build a Sedov domain, run it with
 // the task-graph driver on the amt runtime, and print the validation report.
 //
-//   ./quickstart [-s 20] [-i 100] [-t 4] [-d taskgraph|serial|parallel_for|foreach]
+//   ./quickstart [-s 20] [-i 100] [-t 4]
+//                [-d taskgraph|serial|parallel_for|openmp|foreach]
 
 #include <iostream>
 #include <memory>
@@ -13,6 +14,9 @@
 #include "core/driver_taskgraph.hpp"
 #include "lulesh/driver.hpp"
 #include "lulesh/driver_parallel_for.hpp"
+#ifdef LULESH_AMT_HAVE_OPENMP
+#include "lulesh/driver_openmp.hpp"
+#endif
 #include "lulesh/validate.hpp"
 #include "ompsim/ompsim.hpp"
 
@@ -49,6 +53,11 @@ int main(int argc, char** argv) {
         ompsim::team team(threads);
         lulesh::parallel_for_driver drv(team);
         result = lulesh::run_simulation(dom, drv, cli.problem.max_cycles);
+#ifdef LULESH_AMT_HAVE_OPENMP
+    } else if (cli.driver == "openmp") {
+        lulesh::openmp_driver drv(threads);
+        result = lulesh::run_simulation(dom, drv, cli.problem.max_cycles);
+#endif
     } else if (cli.driver == "foreach") {
         amt::runtime rt(threads);
         lulesh::foreach_driver drv(rt);

@@ -17,6 +17,9 @@
 #include "core/driver_taskgraph.hpp"
 #include "lulesh/driver.hpp"
 #include "lulesh/driver_parallel_for.hpp"
+#ifdef LULESH_AMT_HAVE_OPENMP
+#include "lulesh/driver_openmp.hpp"
+#endif
 #include "lulesh/validate.hpp"
 #include "ompsim/ompsim.hpp"
 
@@ -101,6 +104,11 @@ int main(int argc, char** argv) {
         ompsim::team team(threads);
         lulesh::parallel_for_driver drv(team);
         result = lulesh::run_simulation(dom, drv, cli.problem.max_cycles);
+#ifdef LULESH_AMT_HAVE_OPENMP
+    } else if (cli.driver == "openmp") {
+        lulesh::openmp_driver drv(threads);
+        result = lulesh::run_simulation(dom, drv, cli.problem.max_cycles);
+#endif
     } else if (cli.driver == "foreach") {
         amt::runtime rt(threads);
         lulesh::foreach_driver drv(rt);

@@ -3,7 +3,8 @@
 // The runtime's atomics shim: every lock-free primitive in this tree uses
 // `amt::atomic<T>` / `amt::atomic_flag` / `amt::atomic_thread_fence` (and
 // `amt::mutex` / `amt::condition_variable` for the blocking primitives the
-// model also schedules) instead of touching <atomic> directly.  amtlint
+// model also schedules, and atomic<T>::wait/notify_one/notify_all under
+// amt/park.hpp) instead of touching <atomic> directly.  amtlint
 // rule AMT006 enforces the discipline tree-wide, so every piece of
 // lock-free code — present and future — is model-checkable by
 // construction.
@@ -102,6 +103,9 @@ void on_mutex_lock(const void* m);
 void on_mutex_unlock(const void* m);
 void on_cv_wait(const void* cv, const void* m);
 void on_cv_notify(const void* cv, bool all);
+void on_atomic_wait(const void* addr, std::uint64_t init, std::uint64_t old,
+                    memory_order mo);
+void on_atomic_notify(const void* addr, std::uint64_t init, bool all);
 
 template <class T>
 [[nodiscard]] constexpr std::uint64_t to_bits(T v) noexcept {
@@ -241,6 +245,40 @@ public:
                                memory_order mo) {
         return compare_exchange_weak(expected, desired, mo,
                                      cas_failure_order(mo));
+    }
+
+    /// Blocks while the value equals `old`.  The model compares against
+    /// the newest store (the futex this lowers to reads memory, not a
+    /// stale view) and wakes waiters only on notify, never spuriously, so
+    /// a lost wakeup reports as a deadlock.
+    void wait(T old, memory_order mo) const {
+        if (model::detail::in_execution()) {
+            model::detail::on_atomic_wait(
+                this, model::detail::to_bits(v_.load(memory_order_relaxed)),
+                model::detail::to_bits(old), mo);
+            return;
+        }
+        v_.wait(old, mo);
+    }
+
+    void notify_one() {
+        if (model::detail::in_execution()) {
+            model::detail::on_atomic_notify(
+                this, model::detail::to_bits(v_.load(memory_order_relaxed)),
+                /*all=*/false);
+            return;
+        }
+        v_.notify_one();
+    }
+
+    void notify_all() {
+        if (model::detail::in_execution()) {
+            model::detail::on_atomic_notify(
+                this, model::detail::to_bits(v_.load(memory_order_relaxed)),
+                /*all=*/true);
+            return;
+        }
+        v_.notify_all();
     }
 
 private:

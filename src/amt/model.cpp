@@ -46,6 +46,7 @@ enum class op_kind : std::uint8_t {
     begin, load, store, rmw, cas, fence,
     mtx_lock, mtx_try_lock, mtx_unlock,
     cv_wait, cv_relock, cv_notify,
+    atomic_wait, atomic_notify,
     spawn, join_, yield_,
 };
 
@@ -88,7 +89,17 @@ struct cv_state {
     std::vector<cv_waiter> waiters;  // FIFO
 };
 
-enum class tstate : std::uint8_t { runnable, running, cv_waiting, done };
+/// A thread blocked in atomic<T>::wait: `seen` indexes the store it
+/// compared against; only a notify that happens after a newer store of the
+/// same variable may unblock it ([atomics.wait] eligibility).
+struct atomic_waiter {
+    int tid = -1;
+    std::uint32_t seen = 0;
+};
+
+enum class tstate : std::uint8_t {
+    runnable, running, cv_waiting, atomic_waiting, done
+};
 
 struct per_thread {
     int tid = -1;
@@ -159,7 +170,9 @@ bool independent(const op_desc& a, const op_desc& b) {
     auto structural = [](const op_desc& o) {
         return o.kind == op_kind::fence || o.kind == op_kind::begin ||
                o.kind == op_kind::spawn || o.kind == op_kind::join_ ||
-               o.kind == op_kind::cv_wait || o.kind == op_kind::cv_notify;
+               o.kind == op_kind::cv_wait || o.kind == op_kind::cv_notify ||
+               o.kind == op_kind::atomic_wait ||
+               o.kind == op_kind::atomic_notify;
     };
     if (structural(a) || structural(b)) return false;
     auto sc_op = [](const op_desc& o) {
@@ -204,6 +217,7 @@ struct controller {
     std::unordered_map<const void*, var_state> vars;
     std::unordered_map<const void*, mutex_state> mutexes;
     std::unordered_map<const void*, cv_state> cvs;
+    std::unordered_map<const void*, std::vector<atomic_waiter>> awaiters;
     std::unordered_map<const void*, std::string> names;  // kept across runs
     vclock sc_clock;
     std::vector<alt> taken;
@@ -241,6 +255,8 @@ struct controller {
     std::string describe(const per_thread& t) {
         if (t.st == tstate::cv_waiting)
             return "parked on cv " + nm_of_waiting_cv(t.tid);
+        if (t.st == tstate::atomic_waiting)
+            return "parked in wait on " + nm(t.pending.addr);
         if (!t.has_pending) return "running";
         const op_desc& o = t.pending;
         switch (o.kind) {
@@ -251,6 +267,8 @@ struct controller {
                 return "reacquire " + nm(o.addr) + " after cv wake";
             case op_kind::cv_wait: return "wait on cv " + nm(o.addr);
             case op_kind::cv_notify: return "notify cv " + nm(o.addr);
+            case op_kind::atomic_wait: return "wait on " + nm(o.addr);
+            case op_kind::atomic_notify: return "notify " + nm(o.addr);
             case op_kind::join_:
                 return "join T" + std::to_string(o.target);
             case op_kind::load: return "load " + nm(o.addr);
@@ -588,9 +606,45 @@ struct controller {
                 me.clk.c[me.tid] += 1;
                 tline(me.tid, "yields");
                 break;
+            case op_kind::atomic_notify: perform_atomic_notify(me, o); break;
             case op_kind::cv_wait:
-                break;  // handled by the two-stage path in on_cv_wait
+            case op_kind::atomic_wait:
+                break;  // handled by the parking paths in do_*_wait
         }
+    }
+
+    /// Unblocks the first (notify_one) or every (notify_all) waiter on the
+    /// variable that is eligible: some store newer than the one it compared
+    /// against happens before this notify.  Ineligible waiters stay parked,
+    /// which is how a notify without a preceding modification is lost.
+    void perform_atomic_notify(per_thread& me, const op_desc& o) {
+        me.clk.c[me.tid] += 1;
+        const bool all = o.target != 0;
+        std::vector<atomic_waiter>& ws = awaiters[o.addr];
+        const var_state& v = vars[o.addr];
+        auto eligible = [&](const atomic_waiter& w) {
+            for (std::size_t j = v.hist.size(); j-- > w.seen + 1;) {
+                const store_rec& s = v.hist[j];
+                if (s.tid == me.tid || me.clk.c[s.tid] >= s.when) return true;
+            }
+            return false;
+        };
+        int woken = 0;
+        for (auto it = ws.begin(); it != ws.end();) {
+            if ((all || woken == 0) && eligible(*it)) {
+                per_thread& wt = *threads[static_cast<std::size_t>(it->tid)];
+                wt.st = tstate::runnable;
+                wt.has_pending = true;  // its atomic_wait op re-compares
+                ++woken;
+                it = ws.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        tline(me.tid, (all ? "notify_all " : "notify_one ") + nm(o.addr) +
+                          " (wakes " + std::to_string(woken) + " of " +
+                          std::to_string(woken + static_cast<int>(ws.size())) +
+                          ")");
     }
 
     void perform_load(per_thread& me, const op_desc& o, int choice) {
@@ -732,6 +786,10 @@ struct controller {
         if (is_mem(op.kind)) ensure_var(op.addr, op.init);
         if (is_mutexish(op.kind)) mutexes.try_emplace(op.addr);
         if (op.kind == op_kind::cv_notify) cvs.try_emplace(op.addr);
+        if (op.kind == op_kind::atomic_notify) {
+            ensure_var(op.addr, op.init);
+            awaiters.try_emplace(op.addr);
+        }
         me.pending = op;
         me.has_pending = true;
         me.st = tstate::runnable;
@@ -780,6 +838,54 @@ struct controller {
         perform(me, op_desc{op_kind::cv_relock, m});
     }
 
+    /// atomic<T>::wait: one schedule point compares the newest store with
+    /// `old`; on a match the thread parks (not enabled) until an eligible
+    /// notify re-arms the same op, which compares again.
+    void do_atomic_wait(const void* addr, std::uint64_t init,
+                        std::uint64_t old, std::memory_order mo) {
+        per_thread& me = *t_self;
+        std::unique_lock<std::mutex> lk(mu);
+        if (abort) throw execution_aborted{};
+        ensure_var(addr, init);
+        awaiters.try_emplace(addr);
+        op_desc op;
+        op.kind = op_kind::atomic_wait;
+        op.addr = addr;
+        op.mo = mo;
+        op.operand = old;
+        me.pending = op;
+        me.has_pending = true;
+        me.st = tstate::runnable;
+        for (;;) {
+            decide_and_grant(lk);
+            wait_for_grant(lk, me);
+            me.st = tstate::running;
+            me.has_pending = false;
+            ++step;
+            var_state& v = vars[addr];
+            const auto idx = static_cast<std::uint32_t>(v.hist.size() - 1);
+            const store_rec s = v.hist[idx];
+            me.clk.c[me.tid] += 1;
+            if (mo == std::memory_order_seq_cst) me.clk.join(sc_clock);
+            if (acquire_part(mo)) me.clk.join(s.msg);
+            else me.acq_pending.join(s.msg);
+            if (mo == std::memory_order_seq_cst) sc_clock.join(me.clk);
+            auto& fl = me.floor[addr];
+            fl = std::max(fl, idx);
+            if (s.bits != old) {
+                tline(me.tid, "wait  " + nm(addr) + ": " +
+                                  std::to_string(s.bits) + " != " +
+                                  std::to_string(old) + ", returns");
+                return;
+            }
+            me.st = tstate::atomic_waiting;
+            me.pending = op;
+            awaiters[addr].push_back(atomic_waiter{me.tid, idx});
+            tline(me.tid, "wait  " + nm(addr) + ": still " +
+                              std::to_string(old) + ", parks");
+        }
+    }
+
     // ---------------- execution driver ----------------
 
     void reset_exec() {
@@ -787,6 +893,7 @@ struct controller {
         vars.clear();
         mutexes.clear();
         cvs.clear();
+        awaiters.clear();
         sc_clock = vclock{};
         taken.clear();
         trace.clear();
@@ -1177,6 +1284,24 @@ void on_cv_notify(const void* cvp, bool all) {
         t_ctrl->schedule_and_perform(o);
     } catch (execution_aborted&) {
         // Like unlock: notify may run from cleanup paths during abort.
+    }
+}
+
+void on_atomic_wait(const void* addr, std::uint64_t init, std::uint64_t old,
+                    memory_order mo) {
+    t_ctrl->do_atomic_wait(addr, init, old, mo);
+}
+
+void on_atomic_notify(const void* addr, std::uint64_t init, bool all) {
+    op_desc o;
+    o.kind = op_kind::atomic_notify;
+    o.addr = addr;
+    o.init = init;
+    o.target = all ? 1 : 0;
+    try {
+        t_ctrl->schedule_and_perform(o);
+    } catch (execution_aborted&) {
+        // Like cv notify: may run from cleanup paths during abort.
     }
 }
 

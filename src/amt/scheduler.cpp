@@ -114,11 +114,7 @@ runtime::~runtime() {
     }
 
     shutdown_.store(true, amt::memory_order_release);
-    {
-        std::lock_guard lk(sleep_mu_);
-        ++epoch_;
-    }
-    sleep_cv_.notify_all();
+    park_.wake_all();
     for (auto& w : workers_) {
         if (w->thread.joinable()) w->thread.join();
     }
@@ -162,13 +158,7 @@ void runtime::post_raw(task_base* raw) {
     notify_workers();
 }
 
-void runtime::notify_workers() {
-    {
-        std::lock_guard lk(sleep_mu_);
-        ++epoch_;
-    }
-    sleep_cv_.notify_one();
-}
+void runtime::notify_workers() { park_.wake_one(); }
 
 task_base* runtime::try_pop_global() {
     std::lock_guard lk(global_mu_);
@@ -360,36 +350,29 @@ void runtime::worker_loop(worker& self) {
         }
         if (shutdown_.load(amt::memory_order_acquire)) break;
 
-        if (++idle_rounds < opts_.spin_rounds_before_sleep) {
+        if (++idle_rounds < amt::park::yield_rounds) {
             std::this_thread::yield();
             continue;
         }
 
-        // Park.  Sample the epoch, do one more probe, and only sleep if no
-        // post happened in between (otherwise a task may have been pushed
-        // after our probes but before the wait).
-        std::uint64_t seen;
-        {
-            std::lock_guard lk(sleep_mu_);
-            seen = epoch_;
-        }
-        if (task_base* t = find_work(self)) {
-            note_acquired();
-            run_traced(t);
-            idle_rounds = 0;
+        // Park until a post (or shutdown) wakes us; the probe runs again
+        // after the sleeper is registered, so a post racing the decision
+        // to sleep is either found here or wakes the sleep.  A steal that
+        // loses its CAS leaves the task to a worker that is awake.  After
+        // a wake the worker spins its idle rounds again before sleeping.
+        idle_rounds = 0;
+        task_base* found = nullptr;
+        if (!park_.sleep_once([&] {
+                found = find_work(self);
+                return found != nullptr ||
+                       shutdown_.load(amt::memory_order_acquire);
+            })) {
+            if (in_gap) gap_parked = true;
             continue;
         }
-        if (shutdown_.load(amt::memory_order_acquire)) break;
-        {
-            std::unique_lock lk(sleep_mu_);
-            if (epoch_ == seen && !shutdown_.load(amt::memory_order_acquire)) {
-                if (in_gap) gap_parked = true;
-                // Bounded wait as a belt-and-braces recovery for the rare
-                // case of a steal that failed spuriously under contention.
-                sleep_cv_.wait_for(lk, std::chrono::milliseconds(2));
-            }
-        }
-        idle_rounds = 0;
+        if (found == nullptr) break;  // shutdown
+        note_acquired();
+        run_traced(found);
     }
     if (in_gap) close_gap(trace::now_ns());
 

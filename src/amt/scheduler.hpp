@@ -15,7 +15,6 @@
 
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -26,6 +25,7 @@
 #include "amt/config.hpp"
 #include "amt/counters.hpp"
 #include "amt/deque.hpp"
+#include "amt/park.hpp"
 #include "amt/task.hpp"
 
 namespace amt {
@@ -38,10 +38,6 @@ struct runtime_options {
     /// productive_ratio, i.e. the paper's Figure 11).  Costs two steady_clock
     /// reads per task; disable for task-spawn microbenchmarks.
     bool enable_timing = true;
-
-    /// Rounds of (local pop + full steal sweep + global poll) an idle worker
-    /// performs before parking on the wakeup condition variable.
-    std::size_t spin_rounds_before_sleep = 64;
 
     /// Locality-domain width for hierarchical work stealing: workers are
     /// grouped into consecutive domains of this many workers, and an idle
@@ -135,6 +131,11 @@ public:
         return domain_size_;
     }
 
+    /// Workers currently parked (or re-checking before they sleep).
+    [[nodiscard]] std::size_t parked_workers() const {
+        return park_.sleepers();
+    }
+
     /// True when the calling thread is one of this runtime's workers.
     [[nodiscard]] bool on_worker_thread() const noexcept;
 
@@ -186,17 +187,18 @@ private:
     // Global injection queue for tasks posted from non-worker threads:
     // an intrusive FIFO linked through task_base::qnext, so posting
     // allocates nothing (a plain container would allocate bookkeeping
-    // nodes and break the zero-allocation replay guarantee).
-    std::mutex global_mu_;
+    // nodes and break the zero-allocation replay guarantee).  On its own
+    // cache line: every post and every idle poll writes the lock, and
+    // sharing a line with the read-mostly fields above (workers_, opts_)
+    // slowed the foreach driver by a third at s=12.
+    alignas(cache_line_size) std::mutex global_mu_;
     task_base* global_head_ = nullptr;
     task_base* global_tail_ = nullptr;
 
-    // Wakeup machinery.  `epoch_` increments on every post; a worker that is
-    // about to park re-checks the epoch it sampled before its final queue
-    // probe, which closes the lost-wakeup window.
-    std::mutex sleep_mu_;
-    std::condition_variable sleep_cv_;
-    std::uint64_t epoch_ = 0;
+    // Idle workers sleep in `park_` (amt/park.hpp): a post wakes one only
+    // when the sleeper count is non-zero, so posting to a busy runtime
+    // costs one fence and one load.
+    amt::park park_;
     amt::atomic<bool> shutdown_{false};
 
     // Counters not owned by a specific worker: tasks executed cooperatively

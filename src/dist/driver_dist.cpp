@@ -707,7 +707,10 @@ void dist_driver::advance_futurized(cluster& c, bool eager) {
             msg += "; failure detector suspects slab " +
                    std::to_string(suspect_slab);
         }
-        last_failure_ = {suspect_slab, status::stalled, false, msg};
+        // Transient: a deadline that fired only because the host was slow
+        // replays bitwise at unchanged dt; a repeat stall of the same
+        // cycle still halves it.
+        last_failure_ = {suspect_slab, status::stalled, true, msg};
         throw simulation_error(status::stalled, msg);
     }
     if (cascade != nullptr) {

@@ -40,9 +40,10 @@ namespace lulesh::dist {
 
 /// What the driver learned about the last failed iteration: which slab
 /// failed (-1 when unattributable — e.g. a global volume error), the status
-/// the failure maps to, and whether it was transient (an injected/dropped
-/// fault that a replay at unchanged dt can clear).  The recovery layer
-/// (dist/resilient_dist) uses this to decide which slab to rebuild.
+/// the failure maps to, and whether it was transient (an injected fault or
+/// a progress-deadline stall, which a replay at unchanged dt can clear).
+/// The recovery layer (dist/resilient_dist) uses this to decide which slab
+/// to rebuild.
 struct slab_failure {
     index_t slab = -1;
     status code = status::ok;

@@ -155,8 +155,7 @@ dist_resilient_result run_resilient(cluster& c, dist_driver& drv,
                 // keep their established codes.
                 status code = status::task_fault;
                 if (failure.code != status::ok) {
-                    code = failure.transient ? status::task_fault
-                                             : failure.code;
+                    code = failure.code;
                 } else if (sim != nullptr) {
                     code = sim->code();
                 } else if (cascade) {

@@ -22,6 +22,19 @@ long parse_long(const std::string& flag, const char* text) {
     return v;
 }
 
+#ifdef LULESH_AMT_HAVE_OPENMP
+constexpr bool openmp_built = true;
+#else
+constexpr bool openmp_built = false;
+#endif
+
+/// serial, parallel_for and openmp run plain loops: they spawn no tasks,
+/// so every task-graph, tracer, metrics and halo flag is meaningless there.
+bool never_spawns(const std::string& driver) {
+    return driver == "serial" || driver == "parallel_for" ||
+           driver == "openmp";
+}
+
 const char* require_value(const std::string& flag, int argc,
                           const char* const* argv, int& i) {
     if (i + 1 >= argc) {
@@ -67,11 +80,19 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
                 parse_long(arg, require_value(arg, argc, argv, i)));
         } else if (arg == "-d" || arg == "--d" || arg == "--driver") {
             cli.driver = require_value(arg, argc, argv, i);
+            if (cli.driver == "openmp" && !openmp_built) {
+                throw std::invalid_argument(
+                    "lulesh: driver 'openmp' needs the real-OpenMP driver, "
+                    "but OpenMP was not built (no OpenMP-capable compiler "
+                    "at configure time)");
+            }
             if (cli.driver != "serial" && cli.driver != "parallel_for" &&
-                cli.driver != "taskgraph" && cli.driver != "foreach") {
+                cli.driver != "openmp" && cli.driver != "taskgraph" &&
+                cli.driver != "foreach") {
                 throw std::invalid_argument(
                     "lulesh: unknown driver '" + cli.driver +
-                    "' (expected serial|parallel_for|taskgraph|foreach)");
+                    "' (expected serial|parallel_for|openmp|taskgraph|"
+                    "foreach)");
             }
         } else if (arg == "-p" || arg == "--p" || arg == "--partitions") {
             partition_sizes p;
@@ -203,8 +224,7 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
                 v + "'");
         }
     }
-    if (cli.audit_graph &&
-        (cli.driver == "serial" || cli.driver == "parallel_for")) {
+    if (cli.audit_graph && never_spawns(cli.driver)) {
         throw std::invalid_argument(
             "lulesh: --audit-graph (or LULESH_AUDIT_GRAPH=1) audits the "
             "pre-built task graph, which driver '" + cli.driver +
@@ -212,7 +232,7 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
     }
     // Environment twin of --graph-mode.  The explicit flag wins; either
     // spelling must name a known mode and combines only with the taskgraph
-    // driver (serial/parallel_for run no task graph at all, and foreach
+    // driver (serial/parallel_for/openmp run no task graph at all, and foreach
     // rebuilds per-kernel bulk tasks with no iteration graph to compile).
     // "" and "0" mean unset, matching the other LULESH_* twins.
     if (const char* raw = env("LULESH_GRAPH_MODE");
@@ -245,8 +265,7 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
         }
         cli.halo_timeout_ms = static_cast<int>(v);
     }
-    if (cli.halo_timeout_ms > 0 &&
-        (cli.driver == "serial" || cli.driver == "parallel_for")) {
+    if (cli.halo_timeout_ms > 0 && never_spawns(cli.driver)) {
         throw std::invalid_argument(
             "lulesh: --halo-timeout (or LULESH_HALO_TIMEOUT) guards the "
             "distributed halo exchange, which driver '" + cli.driver +
@@ -264,7 +283,7 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
         cli.utilization_report_file = raw;
     }
     if ((!cli.trace_file.empty() || !cli.utilization_report_file.empty()) &&
-        (cli.driver == "serial" || cli.driver == "parallel_for")) {
+        never_spawns(cli.driver)) {
         throw std::invalid_argument(
             "lulesh: --trace/--utilization-report (or LULESH_TRACE/"
             "LULESH_UTILIZATION_REPORT) observe scheduler tasks, which "
@@ -278,8 +297,7 @@ cli_options parse_cli(int argc, const char* const* argv, env_lookup env) {
         raw != nullptr && *raw != '\0' && cli.metrics_file.empty()) {
         cli.metrics_file = raw;
     }
-    if (!cli.metrics_file.empty() &&
-        (cli.driver == "serial" || cli.driver == "parallel_for")) {
+    if (!cli.metrics_file.empty() && never_spawns(cli.driver)) {
         throw std::invalid_argument(
             "lulesh: --metrics (or LULESH_METRICS) samples scheduler task "
             "metrics, which driver '" + cli.driver +
@@ -328,7 +346,8 @@ std::string usage_text(const std::string& program) {
        << "  -i <n>          iteration cap (default: run to stoptime)\n"
        << "  -b <n>          region balance exponent (default 1)\n"
        << "  -c <n>          region cost multiplier (default 1)\n"
-       << "  -d <driver>     serial | parallel_for | taskgraph | foreach\n"
+       << "  -d <driver>     serial | parallel_for | openmp | taskgraph |\n"
+       << "                  foreach (openmp: real OpenMP, when built)\n"
        << "  -t <n>          execution threads (default: hardware)\n"
        << "  -p <nod> <el>   task partition sizes (default: paper Table I)\n"
        << "  -q              quiet (suppress per-run banner)\n"

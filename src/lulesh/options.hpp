@@ -97,7 +97,9 @@ struct run_result {
 /// Parsed command line for the example/benchmark executables.
 struct cli_options {
     options problem;
-    std::string driver = "taskgraph";  ///< serial | parallel_for | taskgraph | foreach
+    /// serial | parallel_for | openmp | taskgraph | foreach; openmp only
+    /// when the real-OpenMP driver was built (rejected otherwise).
+    std::string driver = "taskgraph";
     std::size_t threads = 0;           ///< 0 = hardware concurrency
     std::optional<partition_sizes> partitions;  ///< default: tuned_for(size)
     bool quiet = false;
@@ -177,12 +179,13 @@ using env_lookup = const char* (*)(const char* name);
 /// Also consults LULESH_AUDIT_GRAPH ("" or "0" = off, "1" = on, anything
 /// else rejected) as the environment twin of --audit-graph.  The audit
 /// models the task-graph wave structure, so either spelling combined with a
-/// driver that spawns no task graph (serial, parallel_for) is rejected.
+/// driver that spawns no task graph (serial, parallel_for, openmp) is
+/// rejected.
 /// --trace / --utilization-report have environment twins LULESH_TRACE /
 /// LULESH_UTILIZATION_REPORT (non-empty value = output path; the flag wins
 /// when both are given) and are rejected with the non-tasking drivers under
-/// the same rule — the tracer observes scheduler tasks, which serial and
-/// parallel_for never spawn.
+/// the same rule — the tracer observes scheduler tasks, which serial,
+/// parallel_for and openmp never spawn.
 /// Throws std::invalid_argument on malformed input.
 cli_options parse_cli(int argc, const char* const* argv);
 

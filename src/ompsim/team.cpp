@@ -8,10 +8,6 @@
 
 namespace ompsim {
 
-namespace {
-constexpr int spin_rounds_before_sleep = 4096;
-}
-
 std::uint64_t region_context::now_ns() {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -40,16 +36,18 @@ void region_context::add_productive(std::uint64_t ns) {
 
 void region_context::barrier() {
     team& t = team_;
-    t.barriers_.fetch_add(1, amt::memory_order_relaxed);
+    t.slots_[tid_].barriers += 1;
     sense_ = !sense_;
     if (t.barrier_count_.fetch_sub(1, amt::memory_order_acq_rel) == 1) {
         // Last arriver: reset and release the others.
         t.barrier_count_.store(t.n_, amt::memory_order_relaxed);
         t.barrier_sense_.store(sense_, amt::memory_order_release);
+        t.barrier_park_.wake_all();
     } else {
-        while (t.barrier_sense_.load(amt::memory_order_acquire) != sense_) {
-            std::this_thread::yield();
-        }
+        const bool sense = sense_;
+        t.barrier_park_.wait_until([&t, sense] {
+            return t.barrier_sense_.load(amt::memory_order_acquire) == sense;
+        });
     }
 }
 
@@ -92,8 +90,10 @@ team::team(std::size_t num_threads)
 }
 
 team::~team() {
+    // wake_all bumps the epoch the parked helpers wait on; a bare notify
+    // would leave them asleep on an unchanged value.
     shutdown_.store(true, amt::memory_order_release);
-    fork_cv_.notify_all();
+    fork_park_.wake_all();
     for (auto& th : threads_) {
         if (th.joinable()) th.join();
     }
@@ -110,17 +110,13 @@ void team::parallel_region(const std::function<void(region_context&)>& fn) {
 
     current_fn_ = &fn;
     done_count_.store(n_ - 1, amt::memory_order_relaxed);
-    {
-        std::lock_guard lk(fork_mu_);
-        ++generation_;
-    }
-    fork_cv_.notify_all();
+    region_seq_.fetch_add(1, amt::memory_order_release);
+    fork_park_.wake_all();
 
     run_member(0, master_sense_);
 
-    while (done_count_.load(amt::memory_order_acquire) != 0) {
-        std::this_thread::yield();
-    }
+    join_park_.wait_until(
+        [this] { return done_count_.load(amt::memory_order_acquire) == 0; });
     current_fn_ = nullptr;
 
     region_wall_ns_.fetch_add(
@@ -134,56 +130,42 @@ void team::parallel_region(const std::function<void(region_context&)>& fn) {
 
 void team::thread_loop(std::size_t tid) {
     bool sense = false;
-    std::uint64_t last_gen = 0;
+    std::uint32_t last_seq = 0;
     for (;;) {
-        // Wait for the next region: spin briefly, then sleep on the condvar.
-        std::uint64_t gen = last_gen;
-        int spins = 0;
-        for (;;) {
-            {
-                std::lock_guard lk(fork_mu_);
-                gen = generation_;
-            }
-            if (gen != last_gen || shutdown_.load(amt::memory_order_acquire)) {
-                break;
-            }
-            if (++spins < spin_rounds_before_sleep) {
-                std::this_thread::yield();
-            } else {
-                std::unique_lock lk(fork_mu_);
-                fork_cv_.wait_for(lk, std::chrono::milliseconds(1), [&] {
-                    return generation_ != last_gen ||
-                           shutdown_.load(amt::memory_order_acquire);
-                });
-                gen = generation_;
-                if (gen != last_gen ||
-                    shutdown_.load(amt::memory_order_acquire)) {
-                    break;
-                }
-            }
-        }
-        if (gen == last_gen) break;  // shutdown with no pending region
-        last_gen = gen;
+        std::uint32_t seq = last_seq;
+        fork_park_.wait_until([&] {
+            seq = region_seq_.load(amt::memory_order_acquire);
+            return seq != last_seq ||
+                   shutdown_.load(amt::memory_order_acquire);
+        });
+        if (seq == last_seq) break;  // shutdown with no pending region
+        last_seq = seq;
         run_member(tid, sense);
-        done_count_.fetch_sub(1, amt::memory_order_release);
+        if (done_count_.fetch_sub(1, amt::memory_order_release) == 1) {
+            join_park_.wake_one();
+        }
     }
 }
 
 timing_snapshot team::snapshot_timing() const {
     timing_snapshot s;
     s.num_threads = n_;
-    for (const auto& slot : slots_) s.productive_ns += slot.productive_ns;
+    for (const auto& slot : slots_) {
+        s.productive_ns += slot.productive_ns;
+        s.barriers += slot.barriers;
+    }
     s.region_wall_ns = region_wall_ns_.load(amt::memory_order_relaxed);
     s.regions_entered = regions_entered_.load(amt::memory_order_relaxed);
-    s.barriers = barriers_.load(amt::memory_order_relaxed);
     return s;
 }
 
 void team::reset_timing() {
-    for (auto& slot : slots_) slot.productive_ns = 0;
+    for (auto& slot : slots_) {
+        slot.productive_ns = 0;
+        slot.barriers = 0;
+    }
     region_wall_ns_.store(0, amt::memory_order_relaxed);
     regions_entered_.store(0, amt::memory_order_relaxed);
-    barriers_.store(0, amt::memory_order_relaxed);
 }
 
 }  // namespace ompsim

@@ -10,6 +10,10 @@
 //     into one contiguous chunk per thread (OpenMP `schedule(static)`),
 //   * `barrier()` is a sense-reversing team barrier — the implicit barrier
 //     OpenMP places at the end of every work-sharing loop,
+//   * every wait (helpers idle between regions, the master's join, the
+//     barrier) is an amt::park spin-then-park: CPU-relax polls, then
+//     yield(), then a sleep on atomic wait/notify, like libgomp's
+//     spin-then-futex default,
 //   * `reduce_min` / `reduce_or` model `reduction(min:...)` clauses.
 //
 // The runtime is deliberately *not* work-stealing and *not* asynchronous:
@@ -20,15 +24,14 @@
 
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "amt/atomic.hpp"
+#include "amt/park.hpp"
 
 namespace ompsim {
 
@@ -95,7 +98,7 @@ public:
         add_productive(now_ns() - t0);
     }
 
-    /// Team barrier (sense-reversing; spins with yield).
+    /// Team barrier (sense-reversing; waiters spin, then park).
     void barrier();
 
     /// min-reduction across the team.  Includes two barriers; every thread
@@ -162,6 +165,7 @@ private:
 
     struct alignas(64) per_thread {
         std::uint64_t productive_ns = 0;
+        std::uint64_t barriers = 0;  // barrier() calls by this thread
         double reduce_slot = 0.0;
         bool flag_slot = false;
     };
@@ -170,17 +174,21 @@ private:
     std::vector<std::thread> threads_;
     std::vector<per_thread> slots_;
 
-    // Fork-join machinery.
-    std::mutex fork_mu_;
-    std::condition_variable fork_cv_;
-    std::uint64_t generation_ = 0;
+    // Fork: the master publishes current_fn_, then bumps region_seq_;
+    // helpers idle in fork_park_ until it (or shutdown_) changes.
     const std::function<void(region_context&)>* current_fn_ = nullptr;
-    amt::atomic<std::size_t> done_count_{0};
+    amt::atomic<std::uint32_t> region_seq_{0};
     amt::atomic<bool> shutdown_{false};
+    amt::park fork_park_;
 
-    // Sense-reversing barrier state.
+    // Join: helpers count down; the last one wakes the master.
+    amt::atomic<std::size_t> done_count_{0};
+    amt::park join_park_;
+
+    // Sense-reversing barrier state; the last arriver wakes the rest.
     amt::atomic<std::size_t> barrier_count_;
     amt::atomic<bool> barrier_sense_{false};
+    amt::park barrier_park_;
 
     // Reduction rendezvous.
     double reduce_result_ = 0.0;
@@ -194,7 +202,6 @@ private:
     // Timing.
     amt::atomic<std::uint64_t> region_wall_ns_{0};
     amt::atomic<std::uint64_t> regions_entered_{0};
-    amt::atomic<std::uint64_t> barriers_{0};
 };
 
 }  // namespace ompsim

@@ -54,6 +54,35 @@ TEST(Runtime, PostedTaskRuns) {
     EXPECT_TRUE(ran.load());
 }
 
+/// Waits (bounded) until every worker of `rt` sits in the park step.
+bool all_workers_parked(const amt::runtime& rt) {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (rt.parked_workers() < rt.num_workers()) {
+        if (std::chrono::steady_clock::now() >= deadline) return false;
+        std::this_thread::sleep_for(1ms);
+    }
+    return true;
+}
+
+TEST(RuntimePark, PostFromExternalThreadWakesParkedWorkers) {
+    // Idle workers park with no timed wakeup, so only the post's wake can
+    // get this task run: an external thread's wait blocks without helping.
+    amt::runtime rt(3);
+    ASSERT_TRUE(all_workers_parked(rt));
+    bool ready = false;
+    bool on_worker = false;
+    std::thread poster([&] {
+        auto f = amt::async(rt, [&rt] { return rt.on_worker_thread(); });
+        ready = f.wait_for(10s);
+        if (ready) on_worker = f.get();
+    });
+    poster.join();
+    EXPECT_TRUE(ready) << "a post to a fully parked runtime was not picked up";
+    EXPECT_TRUE(on_worker);
+    // Destroying the runtime with every worker parked again must wake them.
+    ASSERT_TRUE(all_workers_parked(rt));
+}
+
 TEST(Runtime, DestructorDrainsQueuedTasks) {
     std::atomic<int> count{0};
     {

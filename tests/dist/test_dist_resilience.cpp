@@ -427,8 +427,14 @@ TEST(DistResilient, StalledSlabIsSuspectedRebuiltAndTheRunCompletes) {
     // A slab wedges (simulated hung worker) instead of throwing.  The
     // failure detector's heartbeat staleness names a suspect once the
     // progress deadline fires; the recovery layer rebuilds it and replays.
-    // A stall is not classified transient, so the replay halves dt — the
-    // run completes, without the bitwise guarantee of the transient paths.
+    // A stall is transient, so its first replay runs at unchanged dt and
+    // the run ends bitwise equal to a single-domain run.
+    const options o = opts(6);
+    domain global(o);
+    {
+        lulesh::serial_driver drv;
+        lulesh::run_simulation(global, drv, 12);
+    }
     amt::fault::plan p;
     p.kind = amt::fault::action::stall;
     p.site = "slab_kill:1";
@@ -437,7 +443,7 @@ TEST(DistResilient, StalledSlabIsSuspectedRebuiltAndTheRunCompletes) {
     p.stall_timeout = std::chrono::seconds(60);
     amt::fault::arm(p);
 
-    cluster c(opts(6), 2);
+    cluster c(o, 2);
     amt::runtime rt(2);
     dist_driver drv(rt, {48, 48}, dist_driver::exchange_mode::futurized,
                     std::chrono::milliseconds(150), retry_policy{});
@@ -450,7 +456,9 @@ TEST(DistResilient, StalledSlabIsSuspectedRebuiltAndTheRunCompletes) {
     EXPECT_EQ(rr.result.cycles, 12);
     EXPECT_EQ(rr.recoveries, 1);
     EXPECT_EQ(rr.slab_rebuilds, 1);
+    EXPECT_EQ(rr.dt_halvings, 0);
     EXPECT_GE(amt::resilience().slab_deaths.load(), 1u);
+    EXPECT_EQ(cluster_vs_global(c, global), 0.0);
 }
 
 TEST(DistResilient, CorruptChainsFallBackToTheEntrySnapshot) {

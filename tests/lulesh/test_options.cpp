@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "lulesh/options.hpp"
 
 namespace {
@@ -421,6 +424,47 @@ TEST(Cli, UsageTextMentionsAllFlags) {
     for (const char* flag : {"-s", "-r", "-i", "-b", "-c", "-d", "-t", "-p", "-q"}) {
         EXPECT_NE(text.find(flag), std::string::npos) << flag;
     }
+}
+
+#ifdef LULESH_AMT_HAVE_OPENMP
+TEST(CliOpenMP, DriverParsesWithThreads) {
+    const auto cli = parse({"-d", "openmp", "-t", "3"});
+    EXPECT_EQ(cli.driver, "openmp");
+    EXPECT_EQ(cli.threads, 3u);
+}
+
+TEST(CliOpenMP, TaskOnlyFlagsAreRejected) {
+    // Like serial and parallel_for, real OpenMP runs plain loops: there is
+    // no task graph to audit, trace, meter, compile or exchange halos in.
+    const std::vector<std::vector<const char*>> task_only = {
+        {"--audit-graph"},          {"--trace=t.json"},
+        {"--utilization-report=u.txt"}, {"--metrics=m.json"},
+        {"--halo-timeout", "20"},   {"--graph-mode", "replay"},
+        {"--critical-path-report"}};
+    for (const auto& flag : task_only) {
+        std::vector<const char*> argv{"prog", "-d", "openmp"};
+        argv.insert(argv.end(), flag.begin(), flag.end());
+        EXPECT_THROW(
+            parse_cli(static_cast<int>(argv.size()), argv.data(), no_env),
+            std::invalid_argument)
+            << flag.front();
+    }
+}
+#else
+TEST(CliOpenMP, DriverIsRejectedWhenOpenMPWasNotBuilt) {
+    try {
+        (void)parse({"-d", "openmp"});
+        FAIL() << "-d openmp must be rejected without the OpenMP driver";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("OpenMP was not built"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+#endif
+
+TEST(CliOpenMP, UsageTextListsTheDriver) {
+    EXPECT_NE(lulesh::usage_text("prog").find("openmp"), std::string::npos);
 }
 
 TEST(PartitionSizes, TunedValuesMatchPaperTableI) {

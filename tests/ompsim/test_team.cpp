@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -54,6 +58,16 @@ TEST(Team, ConsecutiveRegionsAllExecute) {
         t.parallel_region([&count](region_context&) { count.fetch_add(1); });
     }
     EXPECT_EQ(count.load(), 300);
+}
+
+TEST(Team, DestroyWhileHelpersParked) {
+    // Helpers park between regions with no timed wakeup; destruction must
+    // change the word they sleep on, or this test hangs (ctest TIMEOUT).
+    team t(4);
+    std::atomic<int> count{0};
+    t.parallel_region([&count](region_context&) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 4);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
 }
 
 TEST(StaticChunk, PartitionIsContiguousAndComplete) {
